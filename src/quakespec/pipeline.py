@@ -9,6 +9,7 @@ analyze_catalog fans the same computation out over a catalog.
 from __future__ import annotations
 
 import os
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .spectral import (MAX_STABLE_DF, bandwidth_indices,
                        fourier_amplitude_spectrum, mean_square_period,
                        moment_periods, power_spectral_density,
                        psd_peak_periods, spectral_moments)
-from .stats import ParameterSet, component_type
+from .stats import ParameterSet, check_param, component_type
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,9 @@ def analyze_record(acc: Accelerogram, record_id: str = "", event_id: str = "",
     """Compute all eleven parameters of one record.
 
     Returns (ParameterSet or None, warnings) where warnings maps each
-    failed parameter to the reason.  None means nothing could be
-    computed at all.
+    failed parameter to the reason.  A value the ParameterSet would
+    reject (a non-positive period, q or epsilon outside [0, 1]) is such
+    a failure too.  None means nothing could be computed at all.
     """
     if cfg is None:
         cfg = RunConfig()
@@ -97,7 +99,10 @@ def analyze_record(acc: Accelerogram, record_id: str = "", event_id: str = "",
                 warnings[name] = str(exc)
             return
         for name, value in zip(names, result):
-            values[name] = value
+            try:
+                values[name] = check_param(name, value)
+            except ValueError as exc:
+                warnings[name] = str(exc)
 
     attempt(("t_43",), lambda: (heidebrecht_period(peaks(acc)),))
     attempt(("t_ms",), lambda: (mean_square_period(
@@ -155,11 +160,12 @@ def analyze_catalog(cat: Catalog, catalog_dir: str, cfg: RunConfig,
 
     Returns (parameter sets sorted by record_id, problems) where
     problems is a list of (record_id, message) for records that were
-    skipped (unreadable) or degenerate (nothing computable), plus
-    per-parameter warnings prefixed with the parameter name.
+    skipped (unreadable, or an unexpected error while analyzing) or
+    degenerate (nothing computable), plus per-parameter warnings
+    prefixed with the parameter name.
     """
 
-    def job(rec):
+    def analyze_entry(rec):
         path = rec.path
         if not os.path.isabs(path):
             path = os.path.join(catalog_dir, path)
@@ -170,10 +176,21 @@ def analyze_catalog(cat: Catalog, catalog_dir: str, cfg: RunConfig,
             acc = load_accelerogram(path, fmt, units_in=rec.units_in,
                                     label=rec.record_id)
         except (OSError, ValueError) as exc:
-            return rec, None, {"load": str(exc)}
-        pset, warnings = analyze_record(
+            return None, {"load": str(exc)}
+        return analyze_record(
             acc, record_id=rec.record_id, event_id=rec.event_id,
             component=component_type(rec.component), cfg=cfg)
+
+    def job(rec):
+        # One record must never abort the batch; Ctrl-C still does,
+        # because KeyboardInterrupt is not an Exception.
+        try:
+            pset, warnings = analyze_entry(rec)
+        except Exception as exc:
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            return rec, None, {"error": (
+                f"{type(exc).__name__}: {exc} (in {where.name}, "
+                f"{os.path.basename(where.filename)}:{where.lineno})")}
         return rec, pset, warnings
 
     if cfg.jobs > 1:

@@ -8,7 +8,9 @@ the linear interpolant of the record, so accuracy is limited only by
 that interpolant, never by the step size of the scheme itself.  The
 recurrence is a linear time-invariant relation in (u, u'), which lets
 scipy's lfilter run it at C speed; initial filter states are chosen so
-the filter output matches the from-rest recurrence exactly.
+the filter output matches the from-rest recurrence exactly.  scipy is
+imported only there, so commands that integrate no oscillator start
+without it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .signal_core import Accelerogram, GroundMotionPeaks
 
@@ -138,6 +139,9 @@ def _recurrence_coefficients(omega: float, zeta: float, dt: float):
 
 def _sdof_histories(p: np.ndarray, dt: float, period: float, damping: float):
     """Relative displacement and velocity histories for forcing p."""
+    # Deferred: importing scipy.signal costs about a second of start-up.
+    from scipy.signal import lfilter
+
     omega = 2.0 * math.pi / period
     a11, a12, a21, a22, b11, b12, b21, b22 = _recurrence_coefficients(
         omega, damping, dt)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 G_ACCEL = 9.81  # m/s^2 per g, fixed conversion used package-wide
 
@@ -115,13 +114,23 @@ def detrend(acc: Accelerogram, mode: str = "linear") -> Accelerogram:
                         label=acc.label)
 
 
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid integral of y, starting at zero.
+
+    Same operations in the same order as scipy's
+    cumulative_trapezoid(y, dx=dx, initial=0.0), so the result is
+    bit-identical, without importing scipy.
+    """
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
+
+
 def integrate(acc: Accelerogram) -> np.ndarray:
     """Cumulative trapezoid integral of the record, starting at zero.
 
     Returns the integrated series (velocity if the input is
     acceleration) as a plain array of the same length.
     """
-    return cumulative_trapezoid(acc.samples, dx=acc.dt, initial=0.0)
+    return _cumulative_trapezoid(acc.samples, acc.dt)
 
 
 def peaks(acc: Accelerogram) -> GroundMotionPeaks:
@@ -141,7 +150,7 @@ def peaks(acc: Accelerogram) -> GroundMotionPeaks:
     corrected = detrend(acc, mode="mean")
     vel = integrate(corrected)
     vel = vel - vel.mean()
-    disp = cumulative_trapezoid(vel, dx=acc.dt, initial=0.0)
+    disp = _cumulative_trapezoid(vel, acc.dt)
     return GroundMotionPeaks(
         pga=float(np.max(np.abs(corrected.samples))),
         pgv=float(np.max(np.abs(vel))),

@@ -33,6 +33,22 @@ EPS_NARROW = 0.95
 MIN_PAIRS = 3
 
 
+def check_param(name: str, value) -> float:
+    """The value as a plain float, or ValueError if it is out of range.
+
+    Periods must be positive and q/epsilon lie in [0, 1]; these are the
+    checks a ParameterSet applies to every value it holds.
+    """
+    # plain floats so repr/json serialization stays portable
+    v = float(value)
+    if name in PERIOD_PARAMS:
+        if not v > 0.0:
+            raise ValueError(f"{name} must be positive, got {v}")
+    elif not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """The eleven frequency-content parameters of one record component.
@@ -59,22 +75,12 @@ class ParameterSet:
     def __post_init__(self):
         if self.component not in ("H", "V"):
             raise ValueError(f"component must be H or V, got {self.component!r}")
-        for name in PARAM_ORDER:
-            v = getattr(self, name)
-            if v is not None:
-                # plain floats so repr/json serialization stays portable
-                object.__setattr__(self, name, float(v))
         values = [getattr(self, p) for p in PARAM_ORDER]
         if all(v is None for v in values):
             raise ValueError("a ParameterSet needs at least one computed parameter")
-        for name in PERIOD_PARAMS:
-            v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        for name in ("q", "epsilon"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0,1], got {v}")
+        for name, v in zip(PARAM_ORDER, values):
+            if v is not None:
+                object.__setattr__(self, name, check_param(name, v))
 
     def get(self, name: str) -> float | None:
         if name not in PARAM_ORDER:

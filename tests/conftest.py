@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quakespec import Accelerogram
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
 
 
 def make_sine(f0=1.0, dt=0.01, duration=40.0, amp=1.0):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_trapezoid
 
-from quakespec import Accelerogram, G_ACCEL, GroundMotionPeaks, detrend, integrate, peaks
-from conftest import make_sine
+from quakespec import (Accelerogram, G_ACCEL, GroundMotionPeaks, detrend,
+                       integrate, load_accelerogram, load_catalog, peaks)
+from conftest import DEMO_DIR, make_sine
 
 
 class TestAccelerogram:
@@ -103,6 +105,16 @@ class TestIntegrate:
         acc = Accelerogram(dt=0.01, samples=np.zeros(32))
         assert_allclose(integrate(acc), 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e100, max_value=1e100,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=200),
+           st.floats(min_value=1e-6, max_value=1e3))
+    def test_bit_identical_to_scipy(self, values, dx):
+        acc = Accelerogram(dt=dx, samples=np.asarray(values))
+        expected = cumulative_trapezoid(acc.samples, dx=dx, initial=0.0)
+        assert np.array_equal(integrate(acc), expected)
+
 
 class TestPeaks:
     def test_harmonic_record(self):
@@ -131,6 +143,24 @@ class TestPeaks:
         acc = Accelerogram(dt=0.02, samples=rng.normal(size=500))
         pk = peaks(acc)
         assert pk.pga >= 0 and pk.pgv >= 0 and pk.pgd >= 0
+
+    # (pga, pgv, pgd) of the demo records, computed with scipy's
+    # cumulative_trapezoid before it was replaced by numpy.
+    @pytest.mark.parametrize("record_id, pga, pgv, pgd", [
+        ("R01", 1.5, 0.8334391639850128, 3.3863172399573584),
+        ("R02", 1.4999999999999998, 0.5338278422498853, 1.511639124244892),
+        ("R03", 1.5, 0.4361475541121221, 1.027962194193591),
+        ("R04", 1.5, 0.3933329216997474, 0.8663575816132586),
+        ("R05", 1.5, 0.4590584100540406, 1.1193977356288216),
+        ("R06", 1.5, 0.42967707351592976, 0.5658085337458136),
+    ])
+    def test_demo_records_unchanged(self, record_id, pga, pgv, pgd):
+        rec = next(r for r in load_catalog(DEMO_DIR).records
+                   if r.record_id == record_id)
+        acc = load_accelerogram(DEMO_DIR / rec.path, "csv",
+                                units_in=rec.units_in)
+        pk = peaks(acc)
+        assert (pk.pga, pk.pgv, pk.pgd) == (pga, pgv, pgd)
 
     def test_peaks_type_rejects_negative(self):
         with pytest.raises(ValueError):
