@@ -8,18 +8,17 @@ from .catalog_io import (Catalog, DanglingReferenceError, DuplicateIdError,
                          emit_geojson_map, load_accelerogram, load_catalog,
                          read_parameter_table, write_accelerogram,
                          write_catalog, write_parameter_table)
-from .response import (EffectivePeaks, PeriodParams, ResponseSpectra,
-                       SpectraConfig, characteristic_period_t1star,
-                       characteristic_period_tc, default_period_grid,
-                       effective_peaks, heidebrecht_period, period_params,
-                       response_spectra, sdof_response, spectrum_peak_period)
+from .response import (EffectivePeaks, ResponseSpectra, SpectraConfig,
+                       characteristic_period_t1star, characteristic_period_tc,
+                       default_period_grid, effective_peaks,
+                       heidebrecht_period, response_spectra, sdof_response,
+                       spectrum_peak_period)
 from .signal_core import (G_ACCEL, Accelerogram, GroundMotionPeaks, detrend,
                           integrate, peaks)
-from .spectral import (SpectralMoments, SpectralParams, Spectrum,
-                       bandwidth_indices, fourier_amplitude_spectrum,
-                       mean_square_period, moment_periods,
-                       power_spectral_density, psd_peak_periods,
-                       spectral_moments, spectral_params)
+from .spectral import (SpectralMoments, Spectrum, bandwidth_indices,
+                       fourier_amplitude_spectrum, mean_square_period,
+                       moment_periods, power_spectral_density,
+                       psd_peak_periods, spectral_moments)
 from .stats import (PARAM_ORDER, AffineFit, CorrelationReport, ParameterSet,
                     ProportionalFit, classify_bandwidth, classify_r2,
                     correlation_matrix, fit_affine, fit_proportional)
@@ -30,15 +29,14 @@ __all__ = [
     "__version__",
     "Accelerogram", "GroundMotionPeaks", "G_ACCEL",
     "detrend", "integrate", "peaks",
-    "Spectrum", "SpectralMoments", "SpectralParams",
+    "Spectrum", "SpectralMoments",
     "fourier_amplitude_spectrum", "power_spectral_density",
     "spectral_moments", "moment_periods", "bandwidth_indices",
-    "mean_square_period", "psd_peak_periods", "spectral_params",
-    "SpectraConfig", "ResponseSpectra", "EffectivePeaks", "PeriodParams",
+    "mean_square_period", "psd_peak_periods",
+    "SpectraConfig", "ResponseSpectra", "EffectivePeaks",
     "default_period_grid", "sdof_response", "response_spectra",
     "spectrum_peak_period", "characteristic_period_t1star",
     "effective_peaks", "characteristic_period_tc", "heidebrecht_period",
-    "period_params",
     "SynthSpec", "generate",
     "ParameterSet", "PARAM_ORDER", "AffineFit", "ProportionalFit",
     "CorrelationReport", "fit_affine", "fit_proportional",

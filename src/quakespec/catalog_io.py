@@ -115,12 +115,6 @@ class Catalog:
     stations: dict
     records: tuple
 
-    def record(self, record_id: str) -> RecordEntry:
-        for r in self.records:
-            if r.record_id == record_id:
-                return r
-        raise KeyError(record_id)
-
 
 def _data_lines(path):
     """Non-empty, non-comment lines of a text file."""
@@ -326,6 +320,8 @@ def read_parameter_table(path, fmt: str = "csv"):
             raise MalformedRecordError(f"{path}: expected parameter table header")
         sets = []
         for row in rows[1:]:
+            if len(row) != len(TABLE_HEADER):
+                raise MalformedRecordError(f"{path}: bad row {row}")
             values = {p: (None if cell == "" else float(cell))
                       for p, cell in zip(PARAM_ORDER, row[3:])}
             sets.append(ParameterSet(record_id=row[0], event_id=row[1],
@@ -334,7 +330,14 @@ def read_parameter_table(path, fmt: str = "csv"):
     if fmt == "json":
         with open(path) as fh:
             doc = json.load(fh)
-        sets = [ParameterSet(**entry) for entry in doc["parameter_sets"]]
+        entries = doc.get("parameter_sets") if isinstance(doc, dict) else None
+        if not isinstance(entries, list):
+            raise MalformedRecordError(
+                f"{path}: expected an object holding a parameter_sets list")
+        try:
+            sets = [ParameterSet(**entry) for entry in entries]
+        except TypeError as exc:  # not an object, or unknown/missing keys
+            raise MalformedRecordError(f"{path}: bad parameter set: {exc}") from None
         return sets, doc.get("meta", {})
     raise ValueError(f"unknown table format {fmt!r}")
 

@@ -49,26 +49,12 @@ def _add_config_flags(p):
                    help="optional window applied before the transform")
 
 
-def _config(args, jobs: int = 1, out_dir: str = ".") -> RunConfig:
+def _config(args, jobs: int = 1) -> RunConfig:
     return RunConfig(damping=args.damping, t_min=args.t_min, t_max=args.t_max,
                      grid_n=args.grid_n, max_df=args.max_df,
                      smoothing_bins=args.smoothing_bins,
                      cutoff_hz=args.cutoff_hz, taper=args.taper,
-                     out_dir=out_dir, jobs=jobs)
-
-
-def _resolve_jobs(requested: int) -> int:
-    """QS_THREADS wins over --jobs so wrappers can pin parallelism."""
-    env = os.environ.get("QS_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"QS_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise ValueError("QS_THREADS must be >= 1")
-        return value
-    return requested
+                     jobs=jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--waveform-format",
                    choices=["auto", "csv", "two_column_text"], default="auto")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (QS_THREADS overrides)")
+                   help="worker threads")
     _add_config_flags(p)
 
     p = sub.add_parser("correlate", help="pairwise fits over a parameter table")
@@ -194,8 +180,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_batch(args) -> int:
     try:
-        jobs = _resolve_jobs(args.jobs)
-        cfg = _config(args, jobs=jobs)
+        cfg = _config(args, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -13,19 +13,17 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .catalog_io import Catalog, load_accelerogram
-from .response import (SpectraConfig, characteristic_period_t1star,
-                       characteristic_period_tc, effective_peaks,
+from .response import (SpectraConfig, characteristic_period_tc,
+                       default_period_grid, effective_peaks,
                        heidebrecht_period, response_spectra,
                        spectrum_peak_period)
 from .signal_core import Accelerogram, peaks
 from .spectral import (MAX_STABLE_DF, bandwidth_indices,
                        fourier_amplitude_spectrum, mean_square_period,
-                       moment_periods, power_spectral_density,
-                       psd_peak_periods, spectral_moments)
+                       moment_periods, psd_from_fas, psd_peak_periods,
+                       spectral_moments)
 from .stats import ParameterSet, check_param, component_type
 
 
@@ -47,7 +45,6 @@ class RunConfig:
     smoothing_bins: int = 5
     cutoff_hz: float | None = None
     taper: str | None = None
-    out_dir: str = "."
     jobs: int = 1
 
     def __post_init__(self):
@@ -60,8 +57,8 @@ class RunConfig:
 
     def spectra_config(self) -> SpectraConfig:
         return SpectraConfig(damping=self.damping,
-                             periods=np.geomspace(self.t_min, self.t_max,
-                                                  self.grid_n))
+                             periods=default_period_grid(self.t_min, self.t_max,
+                                                         self.grid_n))
 
     def meta(self) -> dict:
         return {
@@ -105,16 +102,16 @@ def analyze_record(acc: Accelerogram, record_id: str = "", event_id: str = "",
                 warnings[name] = str(exc)
 
     attempt(("t_43",), lambda: (heidebrecht_period(peaks(acc)),))
-    attempt(("t_ms",), lambda: (mean_square_period(
-        fourier_amplitude_spectrum(acc, max_df=cfg.max_df, taper=cfg.taper)),))
 
     try:
-        psd = power_spectral_density(acc, max_df=cfg.max_df, taper=cfg.taper)
+        fas = fourier_amplitude_spectrum(acc, max_df=cfg.max_df, taper=cfg.taper)
+        psd = psd_from_fas(fas, acc.n)
     except ValueError as exc:
-        for name in ("t1_dsp", "t_mean", "t_cen", "q", "epsilon"):
+        for name in ("t_ms", "t1_dsp", "t_mean", "t_cen", "q", "epsilon"):
             warnings[name] = str(exc)
-        psd = None
-    if psd is not None:
+    else:
+        attempt(("t_ms",), lambda: (mean_square_period(fas),))
+
         def moment_block():
             m = spectral_moments(psd, cutoff_hz=cfg.cutoff_hz)
             _, _, t_cen, t_mean = moment_periods(m)
@@ -136,8 +133,7 @@ def analyze_record(acc: Accelerogram, record_id: str = "", event_id: str = "",
     except ValueError as exc:
         for name in ("t_gsa", "t_gsv", "t_gei", "t_c"):
             warnings[name] = str(exc)
-        rs = None
-    if rs is not None:
+    else:
         attempt(("t_gsa",), lambda: (spectrum_peak_period(rs.sa, rs.periods),))
         attempt(("t_gsv",), lambda: (spectrum_peak_period(rs.sv, rs.periods),))
         attempt(("t_gei",), lambda: (spectrum_peak_period(rs.ei, rs.periods),))

@@ -85,22 +85,6 @@ class EffectivePeaks:
     window: float = EFFECTIVE_PEAK_WINDOW
 
 
-@dataclass(frozen=True)
-class PeriodParams:
-    """Response-spectrum and peak-ratio period estimators of one record.
-
-    All spectrum-peak values are tied to the period grid they were
-    computed on; t_43 alone is grid-free.
-    """
-
-    t_gsa: float
-    t_gsv: float
-    t_gei: float
-    t1_star: float
-    t_c: float
-    t_43: float
-
-
 def _recurrence_coefficients(omega: float, zeta: float, dt: float):
     """Exact one-step transition for piecewise-linear forcing.
 
@@ -291,21 +275,3 @@ def heidebrecht_period(pk: GroundMotionPeaks) -> float:
     if pk.pga <= 0.0:
         raise ValueError("zero peak ground acceleration")
     return 4.3 * pk.pgv / pk.pga
-
-
-def period_params(acc: Accelerogram, cfg: SpectraConfig | None = None,
-                  pk: GroundMotionPeaks | None = None) -> PeriodParams:
-    """All response-side period estimators of one record."""
-    from .signal_core import peaks as ground_peaks
-
-    rs = response_spectra(acc, cfg)
-    if pk is None:
-        pk = ground_peaks(acc)
-    return PeriodParams(
-        t_gsa=spectrum_peak_period(rs.sa, rs.periods),
-        t_gsv=spectrum_peak_period(rs.sv, rs.periods),
-        t_gei=spectrum_peak_period(rs.ei, rs.periods),
-        t1_star=characteristic_period_t1star(rs),
-        t_c=characteristic_period_tc(effective_peaks(rs)),
-        t_43=heidebrecht_period(pk),
-    )

@@ -24,6 +24,10 @@ MAX_STABLE_DF = 0.05
 # Band over which the mean-square period is defined, Hz.
 TMS_BAND = (0.25, 20.0)
 
+# Longest zero-padded transform; covers every dt >= ~5e-6 s at
+# MAX_STABLE_DF.  Records that need no padding are never capped.
+MAX_PADDED_LENGTH = 2 ** 22
+
 # Tolerated negative round-off in the q/epsilon radicals.
 RADICAL_TOL = 1e-12
 
@@ -65,30 +69,6 @@ class SpectralMoments:
     lambda4: float
 
 
-@dataclass(frozen=True)
-class SpectralParams:
-    """The frequency-domain parameter block of one record.
-
-    Peak periods beyond the first and the fractiles may be missing when
-    the spectrum does not support them (e.g. a monotone PSD has no
-    second peak), hence the optional fields.
-    """
-
-    omega_central: float  # rad/s
-    omega_mean: float     # rad/s
-    t_cen: float          # s
-    t_mean: float         # s
-    q: float
-    epsilon: float
-    t_ms: float           # s
-    t1_dsp: float | None
-    t2_dsp: float | None
-    t3_dsp: float | None
-    f10: float
-    f50: float
-    f90: float
-
-
 def transform_length(n: int, dt: float, max_df: float) -> int:
     """Transform length for an n-sample record at step dt.
 
@@ -96,6 +76,8 @@ def transform_length(n: int, dt: float, max_df: float) -> int:
     1/(n*dt) already satisfies the bound; otherwise the record is
     zero-padded to the smallest power of two that does.  Avoiding
     gratuitous padding keeps coherently sampled signals leakage-free.
+    Padding beyond MAX_PADDED_LENGTH is refused: it only arises from a
+    mis-scaled dt and would allocate gigabytes.
     """
     if n < 2:
         raise ValueError("record shorter than 2 samples")
@@ -106,6 +88,10 @@ def transform_length(n: int, dt: float, max_df: float) -> int:
     length = 1
     while length < n or 1.0 / (length * dt) > max_df:
         length *= 2
+    if length > MAX_PADDED_LENGTH:
+        raise ValueError(
+            f"padding to {length} samples for df <= {max_df} Hz at "
+            f"dt = {dt:.3g} s exceeds {MAX_PADDED_LENGTH} samples")
     return length
 
 
@@ -130,21 +116,25 @@ def fourier_amplitude_spectrum(acc: Accelerogram, max_df: float = MAX_STABLE_DF,
                     ordinates=amps, source_dt=acc.dt)
 
 
-def power_spectral_density(acc: Accelerogram, max_df: float = MAX_STABLE_DF,
-                           taper: str | None = None) -> Spectrum:
-    """One-sided periodogram G(f_i) of the full record.
+def psd_from_fas(fas: Spectrum, n: int) -> Spectrum:
+    """One-sided periodogram G(f_i) of an n-sample record from its FAS.
 
     Normalized so that the trapezoid integral over f approximates the
     record's mean square; downstream parameters only ever use moment
     ratios, so the constant is a convenience, not a contract.
     """
-    length = transform_length(acc.n, acc.dt, max_df)
-    c = np.fft.rfft(_windowed(acc, taper), length)
-    g = (acc.dt / acc.n) * np.abs(c) ** 2
+    if fas.kind != "fourier_amplitude":
+        raise ValueError(f"a psd needs a fourier_amplitude spectrum, got {fas.kind!r}")
+    g = (fas.source_dt / n) * fas.ordinates ** 2
     if g.size > 2:
         g[1:-1] *= 2.0  # one-sided doubling, DC and Nyquist excepted
-    return Spectrum(df=1.0 / (length * acc.dt), kind="psd",
-                    ordinates=g, source_dt=acc.dt)
+    return Spectrum(df=fas.df, kind="psd", ordinates=g, source_dt=fas.source_dt)
+
+
+def power_spectral_density(acc: Accelerogram, max_df: float = MAX_STABLE_DF,
+                           taper: str | None = None) -> Spectrum:
+    """One-sided periodogram of the full record (see `psd_from_fas`)."""
+    return psd_from_fas(fourier_amplitude_spectrum(acc, max_df, taper), acc.n)
 
 
 def spectral_moments(psd: Spectrum, cutoff_hz: float | None = None) -> SpectralMoments:
@@ -283,53 +273,3 @@ def psd_peak_periods(psd: Spectrum, k: int = 3, smoothing_bins: int = 5) -> list
     found.sort(key=lambda ih: (-ih[1], ih[0]))
     f = psd.frequencies()
     return [float(1.0 / f[i]) for i, _ in found[:k]]
-
-
-def fractile_frequencies(psd: Spectrum, levels=(0.10, 0.50, 0.90)) -> list[float]:
-    """Frequencies below which the given fractions of PSD mass lie.
-
-    Uses the cumulative trapezoid of G over f with linear interpolation
-    inside the crossing bin.
-    """
-    if psd.kind != "psd":
-        raise ValueError(f"fractiles need a psd, got {psd.kind!r}")
-    f = psd.frequencies()
-    g = psd.ordinates
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(f))])
-    total = cum[-1]
-    if total <= 0.0:
-        raise ValueError("zero spectral mass")
-    out = []
-    for p in levels:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"fractile level out of [0,1]: {p}")
-        target = p * total
-        idx = int(np.searchsorted(cum, target))
-        if idx == 0:
-            out.append(float(f[0]))
-            continue
-        span = cum[idx] - cum[idx - 1]
-        frac = 0.0 if span == 0.0 else (target - cum[idx - 1]) / span
-        out.append(float(f[idx - 1] + frac * (f[idx] - f[idx - 1])))
-    return out
-
-
-def spectral_params(acc: Accelerogram, max_df: float = MAX_STABLE_DF,
-                    smoothing_bins: int = 5, cutoff_hz: float | None = None,
-                    taper: str | None = None) -> SpectralParams:
-    """All frequency-domain parameters of one record in one pass."""
-    fas = fourier_amplitude_spectrum(acc, max_df=max_df, taper=taper)
-    psd = power_spectral_density(acc, max_df=max_df, taper=taper)
-    m = spectral_moments(psd, cutoff_hz=cutoff_hz)
-    omega_central, omega_mean, t_cen, t_mean = moment_periods(m)
-    q, eps = bandwidth_indices(m)
-    t_peaks = psd_peak_periods(psd, k=3, smoothing_bins=smoothing_bins)
-    t_peaks = t_peaks + [None] * (3 - len(t_peaks))
-    f10, f50, f90 = fractile_frequencies(psd)
-    return SpectralParams(
-        omega_central=omega_central, omega_mean=omega_mean,
-        t_cen=t_cen, t_mean=t_mean, q=q, epsilon=eps,
-        t_ms=mean_square_period(fas),
-        t1_dsp=t_peaks[0], t2_dsp=t_peaks[1], t3_dsp=t_peaks[2],
-        f10=f10, f50=f50, f90=f90,
-    )

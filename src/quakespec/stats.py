@@ -174,11 +174,6 @@ def classify_bandwidth(epsilon: float) -> str:
     return "intermediate"
 
 
-def select_narrow_band(sets) -> list:
-    return [s for s in sets
-            if s.epsilon is not None and classify_bandwidth(s.epsilon) == "narrow"]
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """Pairwise R-squared matrix for one group of parameter sets.

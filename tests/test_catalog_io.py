@@ -164,12 +164,6 @@ class TestCatalog:
         with pytest.raises(MalformedRecordError, match="header"):
             load_catalog(tmp_path)
 
-    def test_record_lookup(self):
-        cat = demo_catalog()
-        assert cat.record("R3").station_code == "MAG"
-        with pytest.raises(KeyError):
-            cat.record("R99")
-
 
 def table_sets():
     return [

@@ -6,13 +6,14 @@ import pytest
 from quakespec import (Catalog, Event, ParameterSet, RecordEntry, Station,
                        SynthSpec, generate, write_accelerogram,
                        write_catalog, write_parameter_table)
+from quakespec.catalog_io import TABLE_HEADER
 from quakespec.cli import main
+from conftest import DEMO_DIR
 
 
 @pytest.fixture(autouse=True)
 def isolated_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QS_THREADS", raising=False)
     return tmp_path
 
 
@@ -162,25 +163,17 @@ class TestBatch:
         assert "warning: R2:" in err
         assert "summary: 2 events, 5 components (H=3, V=2)" in out
 
-    def test_reruns_and_thread_counts_agree(self, tmp_path, monkeypatch):
+    def test_reruns_and_thread_counts_agree(self, tmp_path):
         make_batch_catalog(tmp_path)
         outputs = []
         assert run("batch", str(tmp_path), "--out", "t0.csv") == 0
         assert run("batch", str(tmp_path), "--out", "t1.csv") == 0
         assert run("batch", str(tmp_path), "--out", "t2.csv",
                    "--jobs", "8") == 0
-        monkeypatch.setenv("QS_THREADS", "3")
         assert run("batch", str(tmp_path), "--out", "t3.csv",
-                   "--jobs", "1") == 0
+                   "--jobs", "3") == 0
         outputs = [(tmp_path / f"t{i}.csv").read_bytes() for i in range(4)]
         assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
-
-    def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
-        make_batch_catalog(tmp_path)
-        monkeypatch.setenv("QS_THREADS", "many")
-        code, out, err = run("batch", str(tmp_path), capsys=capsys)
-        assert code == 2
-        assert "QS_THREADS" in err
 
     def test_json_table_by_extension(self, tmp_path, capsys):
         make_batch_catalog(tmp_path)
@@ -254,6 +247,30 @@ class TestCorrelate:
                              capsys=capsys)
         assert code == 0
         assert "1 good" in out
+
+
+MALFORMED_TABLES = {
+    "short_row.csv": ",".join(TABLE_HEADER) + "\nR1,E1\n",
+    "narrow_row.csv": ",".join(TABLE_HEADER) + "\nR1,E1,H,0.5\n",
+    "unknown_key.json": json.dumps({"parameter_sets": [
+        {"record_id": "R1", "event_id": "E1", "component": "H",
+         "t_ms": 0.5, "pga": 1.0}]}),
+    "no_sets.json": json.dumps({"meta": {}}),
+    "top_level_list.json": json.dumps([]),
+}
+
+
+class TestMalformedTable:
+    @pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+    @pytest.mark.parametrize("command", ["correlate", "map"])
+    def test_exit_2_with_error_line(self, tmp_path, capsys, command, name):
+        (tmp_path / name).write_text(MALFORMED_TABLES[name])
+        argv = [command, name]
+        if command == "map":
+            argv += [str(DEMO_DIR), "--param", "t_ms"]
+        code, out, err = run(*argv, capsys=capsys)
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestMap:

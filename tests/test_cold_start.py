@@ -33,7 +33,6 @@ def fresh_cli(*argv, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
-    env.pop("QS_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True,
                           timeout=120)

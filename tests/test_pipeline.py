@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from quakespec import pipeline
 from quakespec.cli import main
 from quakespec.stats import PARAM_ORDER, check_param
 from conftest import DEMO_DIR
+
+GOLDEN_TABLE = Path(__file__).resolve().parent / "golden" / "demo_parameters.csv"
 
 
 def two_sample_record():
@@ -31,6 +35,32 @@ def batch_table(catalog, out, jobs, capsys):
     err = capsys.readouterr().err
     assert code == 0
     return out.read_bytes(), err
+
+
+def table_rows(text):
+    return list(csv.reader(ln for ln in text.splitlines()
+                           if not ln.startswith("#")))
+
+
+class TestGoldenTable:
+    """batch demo against the table frozen before the kernels changed."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_demo_matches_golden(self, tmp_path, capsys, jobs):
+        got, err = batch_table(DEMO_DIR, tmp_path / "p.csv", jobs, capsys)
+        assert "warning:" not in err
+        want = table_rows(GOLDEN_TABLE.read_text())
+        rows = table_rows(got.decode())
+        assert rows[0] == want[0]
+        assert [r[:3] for r in rows] == [r[:3] for r in want]
+        for row, ref in zip(rows[1:], want[1:]):
+            assert len(row) == len(ref)
+            for cell, ref_cell in zip(row[3:], ref[3:]):
+                if ref_cell == "":
+                    assert cell == ""
+                else:
+                    assert float(cell) == pytest.approx(float(ref_cell),
+                                                        rel=1e-9, abs=0.0)
 
 
 class TestCheckParam:
@@ -76,6 +106,19 @@ class TestOutOfRangeValue:
         assert r07[0].split(",")[3 + PARAM_ORDER.index("t_43")] == ""
         rows.remove(r07[0])
         assert "".join(rows).encode() == expected
+
+
+class TestPaddingCap:
+    def test_mis_scaled_dt_warns_per_parameter(self):
+        # 4 samples at 1 ns would need 2**35 points for df <= 0.05 Hz
+        acc = Accelerogram(dt=1e-9, samples=[1.0, -1.0, 0.5, 0.2])
+        pset, warnings = analyze_record(acc)
+        spectral = {"t_ms", "t1_dsp", "t_mean", "t_cen", "q", "epsilon"}
+        assert set(warnings) == spectral
+        assert len(set(warnings.values())) == 1
+        assert "exceeds" in warnings["t_ms"]
+        for name in PARAM_ORDER:
+            assert (pset.get(name) is None) == (name in spectral)
 
 
 class TestUnexpectedError:

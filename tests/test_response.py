@@ -12,9 +12,10 @@ from numpy.testing import assert_allclose
 
 from quakespec import (Accelerogram, EffectivePeaks, GroundMotionPeaks,
                        ResponseSpectra, SpectraConfig, SynthSpec,
-                       default_period_grid, effective_peaks, generate,
-                       heidebrecht_period, peaks, period_params,
-                       response_spectra, sdof_response)
+                       analyze_record, default_period_grid, effective_peaks,
+                       generate,
+                       heidebrecht_period, peaks, response_spectra,
+                       sdof_response)
 from quakespec.response import (_window_mean, characteristic_period_t1star,
                                 characteristic_period_tc,
                                 spectrum_peak_period)
@@ -274,12 +275,14 @@ class TestCharacteristicPeriods:
         assert t43 == pytest.approx(4.3 / (2 * np.pi * 2.0), rel=0.03)
 
 
-class TestPeriodParams:
+class TestRecordPeriodSummary:
+    """Response-side periods as analyze_record reports them, plus T1*."""
+
     def test_sine_integration(self, sine_1hz):
-        pp = period_params(sine_1hz)
+        pp, _ = analyze_record(sine_1hz)
         grid = default_period_grid()
-        for name in ("t_gsa", "t_gsv", "t_gei", "t1_star", "t_c"):
-            value = getattr(pp, name)
+        for value in (pp.t_gsa, pp.t_gsv, pp.t_gei, pp.t_c,
+                      characteristic_period_t1star(response_spectra(sine_1hz))):
             assert grid[0] <= value <= grid[-1]
         assert pp.t_gsa == pytest.approx(1.0, rel=0.03)
         assert pp.t_43 == pytest.approx(4.3 / (2 * np.pi), rel=0.03)

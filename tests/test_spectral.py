@@ -1,7 +1,7 @@
 """Spectra, spectral moments and the frequency-domain period estimators.
 
 Analytic oracles: flat and delta power spectra have closed-form
-moments, so the shape factors and fractiles can be checked exactly.
+moments, so the shape factors can be checked exactly.
 """
 
 import numpy as np
@@ -9,11 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quakespec import (Accelerogram, Spectrum, SpectralMoments,
-                       bandwidth_indices, fourier_amplitude_spectrum,
-                       mean_square_period, moment_periods,
-                       power_spectral_density, psd_peak_periods,
-                       spectral_moments, spectral_params)
-from quakespec.spectral import (MAX_STABLE_DF, fractile_frequencies,
+                       analyze_record, bandwidth_indices,
+                       fourier_amplitude_spectrum, mean_square_period,
+                       moment_periods, power_spectral_density,
+                       psd_peak_periods, spectral_moments)
+from quakespec.spectral import (MAX_PADDED_LENGTH, MAX_STABLE_DF,
                                 smooth_ordinates, transform_length)
 from conftest import make_sine
 
@@ -63,6 +63,14 @@ class TestTransformLength:
             transform_length(1, 0.01, 0.05)
         with pytest.raises(ValueError):
             transform_length(100, 0.01, 0.0)
+
+    def test_refuses_padding_beyond_cap(self):
+        # a mis-scaled dt would otherwise pad two samples to 2**35
+        with pytest.raises(ValueError, match="exceeds"):
+            transform_length(2, 1e-9, 0.05)
+        # a record long enough to need no padding is never capped
+        n = 2 * MAX_PADDED_LENGTH
+        assert transform_length(n, 0.01, 0.05) == n
 
 
 class TestFourierAmplitudeSpectrum:
@@ -336,61 +344,24 @@ class TestPsdPeakPeriods:
         assert psd_peak_periods(psd, k=1, smoothing_bins=5) == [1.0]
 
 
-class TestFractileFrequencies:
-    def test_flat_band(self):
-        df = 0.01
-        g = np.ones(1001)  # flat to exactly 10 Hz
-        psd = Spectrum(df=df, kind="psd", ordinates=g, source_dt=0.01)
-        f10, f50, f90 = fractile_frequencies(psd)
-        assert f10 == pytest.approx(1.0, abs=df)
-        assert f50 == pytest.approx(5.0, abs=df)
-        assert f90 == pytest.approx(9.0, abs=df)
+class TestRecordSpectralSummary:
+    """Frequency-domain parameters as analyze_record reports them."""
 
-    def test_delta(self):
-        psd = delta_psd(f0=2.0, df=0.01)
-        f10, f50, f90 = fractile_frequencies(psd)
-        for v in (f10, f50, f90):
-            assert v == pytest.approx(2.0, abs=2 * 0.01)
-
-    def test_triangular_rise(self):
-        df = 0.01
-        f = np.arange(0.0, 10.0 + df / 2, df)
-        psd = Spectrum(df=df, kind="psd", ordinates=f, source_dt=0.01)
-        _, f50, _ = fractile_frequencies(psd)
-        assert f50 == pytest.approx(10.0 / np.sqrt(2), rel=0.01)
-
-    def test_ordering(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            g = rng.uniform(0.0, 1.0, size=120)
-            psd = Spectrum(df=0.05, kind="psd", ordinates=g, source_dt=0.01)
-            f10, f50, f90 = fractile_frequencies(psd)
-            assert f10 <= f50 <= f90
-
-    def test_zero_mass(self):
-        psd = Spectrum(df=0.01, kind="psd", ordinates=np.zeros(50),
-                       source_dt=0.01)
-        with pytest.raises(ValueError, match="zero spectral mass"):
-            fractile_frequencies(psd)
-
-
-class TestSpectralParams:
     def test_sine_summary(self):
         acc = make_sine(2.0, dt=0.01, duration=40.0)
-        sp = spectral_params(acc)
+        sp, _ = analyze_record(acc)
         assert sp.t_ms == pytest.approx(0.5, rel=0.02)
         assert sp.t_cen == pytest.approx(0.5, rel=0.01)
         assert sp.t_mean == pytest.approx(0.5, rel=0.01)
         assert sp.t1_dsp == pytest.approx(0.5, rel=0.01)
         assert sp.q < 0.1
         assert sp.epsilon < 0.3
-        assert sp.f10 <= sp.f50 <= sp.f90
 
     def test_band_noise_summary(self):
         from quakespec import SynthSpec, generate
         acc = generate(SynthSpec(kind="band_noise", dt=0.01, duration=40.0,
                                  band=(0.0, 5.0), seed=7))
-        sp = spectral_params(acc)
+        sp, _ = analyze_record(acc)
         assert 0.05 <= sp.t_ms <= 4.0
         assert 0.0 <= sp.q <= 1.0
         assert 0.0 <= sp.epsilon <= 1.0

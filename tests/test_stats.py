@@ -6,8 +6,7 @@ from quakespec import (PARAM_ORDER, ParameterSet, classify_bandwidth,
                        fit_proportional)
 from quakespec.stats import (MIN_PAIRS, classification_counts,
                              component_type, read_r2_matrix_csv,
-                             select_narrow_band, write_report_csv,
-                             write_report_json)
+                             write_report_csv, write_report_json)
 
 
 def pset(record_id="R", event_id="E", component="H", **params):
@@ -117,14 +116,6 @@ class TestClassification:
         assert classify_bandwidth(0.90) == "intermediate"
         assert classify_bandwidth(0.85) == "intermediate"
         assert classify_bandwidth(0.95) == "intermediate"
-
-    def test_select_narrow_band(self):
-        sets = [pset(record_id=f"R{i}", epsilon=e)
-                for i, e in enumerate([0.96, 0.80, 0.99])]
-        chosen = select_narrow_band(sets)
-        assert [s.record_id for s in chosen] == ["R0", "R2"]
-        assert select_narrow_band([pset(epsilon=0.5)] * 3) == []
-        assert select_narrow_band(chosen) == chosen
 
 
 class TestCorrelationMatrix:
